@@ -48,19 +48,12 @@ use imcat_bench::ModelKind;
 use imcat_bench::{logln, obs_finish, obs_init, write_json, Env, ExpLog};
 use imcat_core::train;
 use imcat_data::{generate, SplitDataset, SynthConfig};
+use imcat_obs::{knob_f64, knob_usize};
 use imcat_serve::{AnnConfig, AnnKind, Engine, ProbeScratch, ServeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const SEED: u64 = 7;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 /// Normalized Zipf CDF over `n` ranks (same stream shape as serve_bench).
 fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
@@ -182,7 +175,7 @@ fn recall_at(engine: &mut Engine, truth: &[Vec<u32>], k: usize) -> f64 {
 /// re-rank path so "scanned" keeps its historical meaning: a certified skip
 /// would report only the k winners, not the scanned pool.
 fn scan_fraction(engine: &Engine, nprobe: usize) -> f64 {
-    let idx = engine.ann_index().expect("ann engine");
+    let idx = engine.ann_backend().and_then(|b| b.as_ivf()).expect("ivf engine");
     let art = engine.artifact();
     let items = &art.item_emb;
     let mut scratch = ProbeScratch::default();
@@ -199,7 +192,7 @@ fn scan_fraction(engine: &Engine, nprobe: usize) -> f64 {
 /// training masks — the acceptance evidence behind the "bit-identical
 /// returned top-K" claim, consumed by the `kernel-smoke` CI job.
 fn skip_stats(engine: &Engine, nprobe: usize, k: usize) -> (f64, usize) {
-    let idx = engine.ann_index().expect("ann engine");
+    let idx = engine.ann_backend().and_then(|b| b.as_ivf()).expect("ivf engine");
     let art = engine.artifact();
     let items = &art.item_emb;
     let mut fast = ProbeScratch::default();
@@ -273,10 +266,10 @@ fn main() {
     let mut log = ExpLog::new("ann_bench");
     let env = Env::from_env();
 
-    let n_requests = env_usize("IMCAT_ANN_REQUESTS", 2000);
-    let k = env_usize("IMCAT_ANN_K", 10);
-    let zipf_s = env_f64("IMCAT_ANN_ZIPF", 1.1);
-    let nlist_knob = env_usize("IMCAT_ANN_NLIST", 0);
+    let n_requests = knob_usize("IMCAT_ANN_REQUESTS", 2000);
+    let k = knob_usize("IMCAT_ANN_K", 10);
+    let zipf_s = knob_f64("IMCAT_ANN_ZIPF", 1.1);
+    let nlist_knob = knob_usize("IMCAT_ANN_NLIST", 0);
 
     let data: SplitDataset = {
         let cfg = SynthConfig::citeulike().scaled(env.scale);

@@ -38,10 +38,6 @@ const COUNTS: [usize; 2] = [10_000, 100_000];
 
 type KernelFn<'a> = Box<dyn Fn(Backend) -> f64 + 'a>;
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
 struct Row {
     kernel: String,
     d: usize,
@@ -150,8 +146,8 @@ fn main() {
     obs_init(true);
     let mut log = ExpLog::new("kernel_bench");
 
-    let reps = env_usize("IMCAT_KERNEL_REPS", 5);
-    let batch = env_usize("IMCAT_KERNEL_BATCH", 4).max(1);
+    let reps = imcat_obs::knob_usize("IMCAT_KERNEL_REPS", 5);
+    let batch = imcat_obs::knob_usize("IMCAT_KERNEL_BATCH", 4).max(1);
     let simd_bk = imcat_simd::backend();
     let avx2 = imcat_simd::avx2_detected();
     logln!(

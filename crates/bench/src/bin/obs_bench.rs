@@ -14,8 +14,8 @@
 //!   QPS.
 //!
 //! With `IMCAT_OBS_BENCH_GATE=1` the binary exits nonzero when a named-counter
-//! add exceeds `IMCAT_OBS_BENCH_MAX_NS` (default 20 ns) or the serve QPS
-//! regression exceeds `IMCAT_OBS_BENCH_MAX_PCT` (default 1.0 %). CI runs it
+//! add exceeds `MAX_COUNTER_NS` (20 ns) or the serve QPS regression
+//! exceeds `MAX_OVERHEAD_PCT` (1.0 %). CI runs it
 //! in release mode as part of the obs-smoke job.
 //!
 //! Usage: `cargo run --release -p imcat-bench --bin obs_bench`
@@ -33,9 +33,10 @@ use rand::{Rng, SeedableRng};
 static BENCH_COUNTER: imcat_obs::Counter = imcat_obs::Counter::new("obs_bench.handle");
 static BENCH_HIST: imcat_obs::Hist = imcat_obs::Hist::new("obs_bench.handle.seconds");
 
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+/// Gate bound: nanoseconds allowed per named-counter add.
+const MAX_COUNTER_NS: f64 = 20.0;
+/// Gate bound: serve QPS loss allowed with telemetry on, percent.
+const MAX_OVERHEAD_PCT: f64 = 1.0;
 
 /// Best-of-3 timing of `iters` calls to `f`, in ns per call.
 fn bench_ns(iters: u64, mut f: impl FnMut()) -> f64 {
@@ -153,9 +154,7 @@ fn serve_arm(artifact: &Artifact, stream: &[(u32, usize)], batch: usize) -> f64 
 
 fn main() {
     let mut log = ExpLog::new("obs_bench");
-    let gate = std::env::var("IMCAT_OBS_BENCH_GATE").as_deref() == Ok("1");
-    let max_counter_ns = env_f64("IMCAT_OBS_BENCH_MAX_NS", 20.0);
-    let max_overhead_pct = env_f64("IMCAT_OBS_BENCH_MAX_PCT", 1.0);
+    let gate = imcat_obs::knob_flag("IMCAT_OBS_BENCH_GATE", false);
 
     logln!(log, "obs_bench: telemetry primitive costs (best of 3)");
     let micros = microbenches();
@@ -236,13 +235,13 @@ fn main() {
 
     if gate {
         let mut failed = false;
-        if counter_ns > max_counter_ns {
-            eprintln!("GATE FAIL: counter_add {counter_ns:.1} ns/op > {max_counter_ns} ns");
+        if counter_ns > MAX_COUNTER_NS {
+            eprintln!("GATE FAIL: counter_add {counter_ns:.1} ns/op > {MAX_COUNTER_NS} ns");
             failed = true;
         }
-        if overhead_pct > max_overhead_pct {
+        if overhead_pct > MAX_OVERHEAD_PCT {
             eprintln!(
-                "GATE FAIL: telemetry costs {overhead_pct:.2}% serve QPS > {max_overhead_pct}%"
+                "GATE FAIL: telemetry costs {overhead_pct:.2}% serve QPS > {MAX_OVERHEAD_PCT}%"
             );
             failed = true;
         }
@@ -251,8 +250,8 @@ fn main() {
         }
         logln!(
             log,
-            "gates pass: counter {counter_ns:.1} ns <= {max_counter_ns} ns, \
-             overhead {overhead_pct:.2}% <= {max_overhead_pct}%"
+            "gates pass: counter {counter_ns:.1} ns <= {MAX_COUNTER_NS} ns, \
+             overhead {overhead_pct:.2}% <= {MAX_OVERHEAD_PCT}%"
         );
     }
 }

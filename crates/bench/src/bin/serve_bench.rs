@@ -40,7 +40,7 @@
 //! * `IMCAT_NET_OPEN_FACTORS` — open-loop offered rate as fractions of the
 //!   measured closed-loop capacity (default `0.6,1.5`)
 //! * plus the server's own `IMCAT_NET_WORKERS` / `IMCAT_NET_QUEUE` /
-//!   `IMCAT_NET_BATCH` / `IMCAT_NET_TICK_US` / `IMCAT_NET_DEADLINE_MS`
+//!   `IMCAT_NET_BATCH` / `IMCAT_NET_DEADLINE_MS`
 //!   (see `imcat_net::NetConfig::from_env`)
 //!
 //! Usage: `cargo run --release -p imcat-bench --bin serve_bench`
@@ -52,19 +52,12 @@ use imcat_bench::ModelKind;
 use imcat_bench::{logln, obs_finish, obs_init, write_json, Env, ExpLog};
 use imcat_core::train;
 use imcat_data::{generate, SplitDataset, SynthConfig};
+use imcat_obs::{knob_f64, knob_flag, knob_str, knob_usize};
 use imcat_serve::{Engine, ServeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const SEED: u64 = 7;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 /// Normalized Zipf CDF over `n` ranks: rank `r` (0-based) has weight
 /// `1 / (r+1)^s`. Sampling is a uniform draw + binary search.
@@ -160,7 +153,7 @@ struct NetRow {
 imcat_obs::impl_to_json!(NetRow { model, shards, report, server_shed, server_timeouts });
 
 fn env_list(key: &str, default: &str) -> Vec<f64> {
-    let raw = std::env::var(key).unwrap_or_else(|_| default.to_string());
+    let raw = knob_str(key).unwrap_or_else(|| default.to_string());
     raw.split(',').filter_map(|v| v.trim().parse().ok()).collect()
 }
 
@@ -174,9 +167,9 @@ fn net_frontier(
 ) {
     let shard_counts: Vec<usize> =
         env_list("IMCAT_NET_SHARD_COUNTS", "1,2,4").into_iter().map(|v| v as usize).collect();
-    let n_requests = env_usize("IMCAT_NET_REQUESTS", 600).max(1).min(stream.len());
-    let conns = env_usize("IMCAT_NET_CONNS", 8);
-    let senders = env_usize("IMCAT_NET_SENDERS", 16);
+    let n_requests = knob_usize("IMCAT_NET_REQUESTS", 600).max(1).min(stream.len());
+    let conns = knob_usize("IMCAT_NET_CONNS", 8);
+    let senders = knob_usize("IMCAT_NET_SENDERS", 16);
     let factors = env_list("IMCAT_NET_OPEN_FACTORS", "0.6,1.5");
     let net_stream = &stream[..n_requests];
     let serve_cfg = imcat_serve::ServeConfig { cache_capacity: cache, ..Default::default() };
@@ -256,11 +249,11 @@ fn main() {
     let mut log = ExpLog::new("serve_bench");
     let env = Env::from_env();
 
-    let n_requests = env_usize("IMCAT_SERVE_REQUESTS", 2000);
-    let zipf_s = env_f64("IMCAT_SERVE_ZIPF", 1.1);
-    let k = env_usize("IMCAT_SERVE_K", 20);
-    let batch = env_usize("IMCAT_SERVE_BATCH", 32).max(2);
-    let cache = env_usize("IMCAT_SERVE_CACHE", 256);
+    let n_requests = knob_usize("IMCAT_SERVE_REQUESTS", 2000);
+    let zipf_s = knob_f64("IMCAT_SERVE_ZIPF", 1.1);
+    let k = knob_usize("IMCAT_SERVE_K", 20);
+    let batch = knob_usize("IMCAT_SERVE_BATCH", 32).max(2);
+    let cache = knob_usize("IMCAT_SERVE_CACHE", 256);
 
     let data: SplitDataset = {
         let cfg = SynthConfig::tiny().scaled(env.scale);
@@ -346,7 +339,7 @@ fn main() {
     logln!(log, "report written to {}", path.display());
 
     // Network frontier: real sockets, sharded replicas, closed + open loop.
-    if env_usize("IMCAT_NET_FRONTIER", 1) != 0 {
+    if knob_flag("IMCAT_NET_FRONTIER", true) {
         let last = kinds[kinds.len() - 1];
         let artifact_path = art_dir.join(format!("{}.artifact", last.name()));
         let artifact =
@@ -357,7 +350,7 @@ fn main() {
     // Optional hold phase: keep a live engine ticking so an external scraper
     // can observe the /metrics endpoint and resolve trace exemplars while the
     // process is still serving (used by the CI obs-smoke job).
-    let hold_secs = env_f64("IMCAT_SERVE_HOLD_SECS", 0.0);
+    let hold_secs = knob_f64("IMCAT_SERVE_HOLD_SECS", 0.0);
     if hold_secs > 0.0 {
         if let Some(addr) = imcat_obs::http::bound_addr() {
             logln!(log, "obs endpoint listening on http://{addr}/metrics");

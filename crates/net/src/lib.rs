@@ -12,9 +12,11 @@
 //! * [`Server`] — a dependency-free HTTP/1.1 front-end: one acceptor thread,
 //!   a bounded admission queue, a pool of connection workers, and a single
 //!   batcher thread that folds concurrent requests into micro-batch ticks
-//!   ([`imcat_serve::Engine::recommend_batch`] per replica). Overload is
-//!   shed with a fast `503` and counted (`serve.shed`) rather than queued
-//!   without bound.
+//!   ([`imcat_serve::Engine::recommend_batch`] per replica). A tick takes
+//!   whatever is queued as soon as the batcher is free, with no linger by
+//!   default, so batches grow with load instead of with a timer. Overload
+//!   is shed with a fast `503` and counted (`serve.shed`) rather than
+//!   queued without bound.
 //! * [`loadgen`] — closed-loop and open-loop (coordinated-omission-aware)
 //!   load generators speaking real sockets, used by `serve_bench` to map
 //!   the latency/QPS frontier per shard count.
@@ -32,16 +34,3 @@ mod shard;
 pub use loadgen::{closed_loop, open_loop, LoadReport};
 pub use server::{NetConfig, NetStats, Server};
 pub use shard::{shard_artifact, shard_ranges, ShardedEngine};
-
-/// Parses a `usize` environment knob, falling back to `default` when the
-/// variable is unset or malformed. Delegates to the workspace knob
-/// registry (`imcat_obs::knobs`), so the key must be registered there.
-pub fn env_usize(key: &str, default: usize) -> usize {
-    imcat_obs::knob_usize(key, default)
-}
-
-/// Parses a `u64` environment knob, falling back to `default`. Registry-
-/// checked like [`env_usize`].
-pub fn env_u64(key: &str, default: u64) -> u64 {
-    imcat_obs::knob_u64(key, default)
-}

@@ -10,10 +10,15 @@
 //! * **N workers** — each pops a connection and speaks keep-alive HTTP/1.1
 //!   on it: parse a request (total per-request deadline), submit a job,
 //!   block until the batcher fills the job's slot, write the response.
-//! * **1 batcher** — owns the [`ShardedEngine`]. Drains up to `max_batch`
-//!   jobs per tick (lingering `tick_wait` to let a batch fill), answers
+//! * **1 batcher** — owns the [`ShardedEngine`]. Each tick takes every
+//!   queued job, up to `max_batch`, the moment the batcher is free, answers
 //!   them with one `recommend_batch` fan-out, and wakes the waiting
 //!   workers.
+//!
+//! Batching is natural rather than timed: a tick closes as soon as the job
+//! queue is empty, so a lone request pays no linger, and under load jobs
+//! pile up while the previous tick runs, so batches still grow with the
+//! offered rate.
 //!
 //! Admission control is two-stage: the connection queue bounds sockets
 //! waiting for a worker, and the job queue bounds requests waiting for a
@@ -33,12 +38,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use imcat_ckpt::Artifact;
-use imcat_obs::Json;
+use imcat_obs::{knob_u64, knob_usize, Json};
 use imcat_serve::{AnnDescriptor, Interaction, Recommendation, ServeConfig, ServeError};
 
 use crate::http::{self, Conn, Request, JSON, TEXT};
 use crate::shard::ShardedEngine;
-use crate::{env_u64, env_usize};
 
 static OBS_SHED: imcat_obs::Counter = imcat_obs::Counter::new("serve.shed");
 static OBS_NET_REQUESTS: imcat_obs::Counter = imcat_obs::Counter::new("net.requests");
@@ -61,8 +65,10 @@ pub struct NetConfig {
     /// Maximum requests folded into one micro-batch tick
     /// (`IMCAT_NET_BATCH`).
     pub max_batch: usize,
-    /// How long a tick lingers for the batch to fill once the first job
-    /// arrives (`IMCAT_NET_TICK_US`, microseconds).
+    /// How long a tick lingers for a partial batch to fill once the first
+    /// job arrives. Zero (the default, and what [`NetConfig::from_env`]
+    /// sets) answers whatever is queued as soon as the batcher is free.
+    /// The field stays only because `perfbench` reads it.
     pub tick_wait: Duration,
     /// Total per-request deadline on a connection: head read, queueing and
     /// the tick all included (`IMCAT_NET_DEADLINE_MS`).
@@ -76,7 +82,7 @@ impl Default for NetConfig {
             workers: 4,
             queue: 64,
             max_batch: 64,
-            tick_wait: Duration::from_micros(200),
+            tick_wait: Duration::ZERO,
             deadline: Duration::from_secs(2),
         }
     }
@@ -88,15 +94,12 @@ impl NetConfig {
     pub fn from_env() -> Self {
         let d = Self::default();
         Self {
-            shards: env_usize("IMCAT_NET_SHARDS", d.shards).max(1),
-            workers: env_usize("IMCAT_NET_WORKERS", d.workers).max(1),
-            queue: env_usize("IMCAT_NET_QUEUE", d.queue).max(1),
-            max_batch: env_usize("IMCAT_NET_BATCH", d.max_batch).max(1),
-            tick_wait: Duration::from_micros(env_u64(
-                "IMCAT_NET_TICK_US",
-                d.tick_wait.as_micros() as u64,
-            )),
-            deadline: Duration::from_millis(env_u64(
+            shards: knob_usize("IMCAT_NET_SHARDS", d.shards).max(1),
+            workers: knob_usize("IMCAT_NET_WORKERS", d.workers).max(1),
+            queue: knob_usize("IMCAT_NET_QUEUE", d.queue).max(1),
+            max_batch: knob_usize("IMCAT_NET_BATCH", d.max_batch).max(1),
+            tick_wait: d.tick_wait,
+            deadline: Duration::from_millis(knob_u64(
                 "IMCAT_NET_DEADLINE_MS",
                 d.deadline.as_millis() as u64,
             )),
@@ -228,8 +231,10 @@ impl<T> Queue<T> {
     }
 
     /// Drains up to `max` items for one tick. Blocks for the first item,
-    /// then lingers up to `wait` for the batch to fill. Returns empty only
-    /// once closed and drained.
+    /// then takes everything already queued, up to `max`. Items past `max`
+    /// stay queued for the next tick. Returns empty only once closed and
+    /// drained. `wait` is [`NetConfig::tick_wait`], zero unless a caller
+    /// builds the config by hand.
     fn pop_batch(&self, max: usize, wait: Duration) -> Vec<T> {
         let mut state = self.inner.lock().unwrap();
         loop {
@@ -819,5 +824,44 @@ fn batcher_loop(mut engine: ShardedEngine, shared: &Shared) {
                 job.slot.fill(answer);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn queue_of(n: usize) -> Queue<usize> {
+        let q = Queue::new(64);
+        for i in 0..n {
+            q.try_push(i).unwrap();
+        }
+        q
+    }
+
+    #[test]
+    fn zero_linger_takes_every_queued_job() {
+        let q = queue_of(5);
+        assert_eq!(q.pop_batch(64, Duration::ZERO), vec![0, 1, 2, 3, 4]);
+        // A single queued job is answered alone rather than waiting for company.
+        q.try_push(5).unwrap();
+        assert_eq!(q.pop_batch(64, Duration::ZERO), vec![5]);
+    }
+
+    #[test]
+    fn jobs_past_max_stay_queued_for_the_next_tick() {
+        let q = queue_of(5);
+        assert_eq!(q.pop_batch(2, Duration::ZERO), vec![0, 1]);
+        assert_eq!(q.pop_batch(2, Duration::ZERO), vec![2, 3]);
+        assert_eq!(q.pop_batch(2, Duration::ZERO), vec![4]);
+    }
+
+    #[test]
+    fn closed_queue_drains_then_returns_empty() {
+        let q = queue_of(3);
+        q.close();
+        assert!(q.try_push(9).is_err(), "a closed queue admits nothing");
+        assert_eq!(q.pop_batch(64, Duration::ZERO), vec![0, 1, 2]);
+        assert!(q.pop_batch(64, Duration::ZERO).is_empty());
     }
 }

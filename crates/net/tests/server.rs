@@ -4,7 +4,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Barrier, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use imcat_ckpt::Artifact;
@@ -64,6 +64,20 @@ fn post(addr: SocketAddr, target: &str, body: &str) -> (u16, String) {
     .expect("write request");
     let mut buf = Vec::new();
     read_response(&mut stream, &mut buf).expect("read response")
+}
+
+/// The `items` and `score_bits` arrays of a `/recommend` answer.
+fn items_and_bits(body: &str) -> (Vec<u32>, Vec<u32>) {
+    let doc = Json::parse(body).expect("response is JSON");
+    let field = |name: &str| -> Vec<u32> {
+        doc.get(name)
+            .and_then(Json::as_array)
+            .unwrap_or_else(|| panic!("{name} array"))
+            .iter()
+            .map(|v| v.as_f64().unwrap() as u32)
+            .collect()
+    };
+    (field("items"), field("score_bits"))
 }
 
 #[test]
@@ -128,21 +142,7 @@ fn served_answers_are_bit_identical_to_local_engine() {
         write!(stream, "GET /recommend?user={user}&k=10 HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
         let (status, body) = read_response(&mut stream, &mut buf).expect("keep-alive response");
         assert_eq!(status, 200, "user {user}: {body}");
-        let doc = Json::parse(&body).expect("response is JSON");
-        let items: Vec<u32> = doc
-            .get("items")
-            .and_then(Json::as_array)
-            .expect("items array")
-            .iter()
-            .map(|v| v.as_f64().unwrap() as u32)
-            .collect();
-        let bits: Vec<u32> = doc
-            .get("score_bits")
-            .and_then(Json::as_array)
-            .expect("score_bits array")
-            .iter()
-            .map(|v| v.as_f64().unwrap() as u32)
-            .collect();
+        let (items, bits) = items_and_bits(&body);
         let want = reference.recommend(user, 10).unwrap();
         assert_eq!(items, want.iter().map(|r| r.item).collect::<Vec<_>>(), "user {user}");
         assert_eq!(
@@ -152,6 +152,71 @@ fn served_answers_are_bit_identical_to_local_engine() {
         );
     }
     drop(stream);
+    server.shutdown();
+}
+
+/// Tick composition depends on timing: which requests share a batch, and
+/// whether a user's answer comes from the cache or a fresh scoring pass.
+/// The answers must not. Eight keep-alive connections, one worker each,
+/// fire in parallel, every user twice at two cutoffs, and every answer must
+/// carry the local engine's exact items and score bits. Whether requests
+/// from different connections actually share a tick is up to the
+/// scheduler, so the test does not count on it: on a busy machine every
+/// tick may hold one job, and the test then only covers the same ground as
+/// `served_answers_are_bit_identical_to_local_engine`.
+#[test]
+fn parallel_connections_get_the_local_engines_answers() {
+    let _guard = net_lock().lock().unwrap();
+    const CONNS: u32 = 8;
+    let server = start(NetConfig { workers: CONNS as usize, ..Default::default() });
+    let addr = server.addr();
+    let n = artifact().n_users() as u32;
+
+    // All clients connect before any sends, so their requests overlap.
+    let start_line = Arc::new(Barrier::new(CONNS as usize));
+    let clients: Vec<_> = (0..CONNS)
+        .map(|c| {
+            let start_line = start_line.clone();
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                start_line.wait();
+                let mut buf = Vec::new();
+                let mut answers = Vec::new();
+                for round in 0..2 {
+                    for user in (c..n).step_by(CONNS as usize) {
+                        let k: usize = if (user + round) % 2 == 0 { 5 } else { 10 };
+                        write!(
+                            stream,
+                            "GET /recommend?user={user}&k={k} HTTP/1.1\r\nHost: t\r\n\r\n"
+                        )
+                        .unwrap();
+                        let (status, body) =
+                            read_response(&mut stream, &mut buf).expect("keep-alive response");
+                        assert_eq!(status, 200, "user {user}: {body}");
+                        answers.push((user, k, items_and_bits(&body)));
+                    }
+                }
+                answers
+            })
+        })
+        .collect();
+
+    let mut reference = Engine::new(artifact().clone(), ServeConfig::default()).unwrap();
+    let mut checked = 0;
+    for client in clients {
+        for (user, k, (items, bits)) in client.join().expect("client thread") {
+            let want = reference.recommend(user, k).unwrap();
+            assert_eq!(items, want.iter().map(|r| r.item).collect::<Vec<_>>(), "user {user} k {k}");
+            assert_eq!(
+                bits,
+                want.iter().map(|r| r.score.to_bits()).collect::<Vec<_>>(),
+                "user {user} k {k}: score bits depend on the tick"
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 2 * n as usize);
+    assert_eq!(server.stats().answered, checked as u64);
     server.shutdown();
 }
 

@@ -93,7 +93,6 @@ pub static KNOBS: &[Knob] = &[
     knob!("IMCAT_NET_WORKERS", Int, "4", "net", "Connection worker threads"),
     knob!("IMCAT_NET_QUEUE", Int, "64", "net", "Bounded admission queue capacity"),
     knob!("IMCAT_NET_BATCH", Int, "64", "net", "Max requests per micro-batch tick"),
-    knob!("IMCAT_NET_TICK_US", Int, "200", "net", "Tick linger for the batch to fill, us"),
     knob!("IMCAT_NET_DEADLINE_MS", Int, "2000", "net", "Total per-request deadline, ms"),
     knob!("IMCAT_NET_FRONTIER", Flag, "1", "bench", "0 skips serve_bench's network frontier"),
     knob!("IMCAT_NET_SHARD_COUNTS", Str, "1,2,4", "bench", "Frontier shard counts, comma list"),

@@ -327,8 +327,9 @@ impl Drop for RequestTrace {
 }
 
 /// Opens a request trace of `kind` whose latency lands in histogram `hist`.
-/// `force_sample` bypasses the 1-in-N sampling (used for batch ticks, which
-/// are rare and information-dense).
+/// `force_sample` bypasses the 1-in-N sampling. Every serving path passes
+/// `false`; the flag exists so tests and `obs_bench` can get a trace
+/// deterministically.
 pub fn request(kind: &'static str, hist: &'static str, force_sample: bool) -> RequestTrace {
     if !registry::enabled() {
         return RequestTrace::Off;

@@ -27,11 +27,11 @@
 //!
 //! ## Telemetry
 //!
-//! Every request mints a trace id through `imcat_obs::trace` — sampled
-//! requests (and every batch tick) collect their span breakdown (scoring,
-//! ANN probe, pool dispatch) into the live trace store served at
-//! `/trace/<id>`; unsampled requests still surface as span-less exemplars
-//! when they exceed the slow threshold. Hot-path counters
+//! Every request and batch tick mints a trace id through `imcat_obs::trace`
+//! — sampled ones (1 in `IMCAT_OBS_TRACE_SAMPLE`) collect their span
+//! breakdown (scoring, ANN probe, pool dispatch) into the live trace store
+//! served at `/trace/<id>`; unsampled ones still surface as span-less
+//! exemplars when they exceed the slow threshold. Hot-path counters
 //! (`serve.requests`, `serve.cache.hits`/`misses`, `serve.ticks`) and the
 //! latency histograms go through pre-interned [`imcat_obs::Counter`] /
 //! [`imcat_obs::Hist`] handles so the per-request overhead stays in the
@@ -44,7 +44,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use imcat_ann::{AnnConfig, AnnIndex, AnnKind, IvfIndex, ProbeScratch, DEFAULT_BUILD_SEED};
+use imcat_ann::{AnnConfig, AnnIndex, AnnKind, ProbeScratch, DEFAULT_BUILD_SEED};
 use imcat_ckpt::{Artifact, Checkpoint};
 use imcat_eval::{top_n_masked_with, TopKScratch};
 use imcat_obs::Histogram;
@@ -322,12 +322,6 @@ impl Engine {
         engine.cfg = cfg;
         engine.ann = Some(state);
         Ok(engine)
-    }
-
-    /// The live IVF index, when ANN retrieval is active *and* backed by
-    /// IVF-Flat (`None` under [`imcat_ann::AnnKind::Brute`]).
-    pub fn ann_index(&self) -> Option<&IvfIndex> {
-        self.ann.as_ref().and_then(|s| s.index.as_ivf())
     }
 
     /// The live ANN backend behind the [`AnnIndex`] trait, whatever its
@@ -804,9 +798,10 @@ impl Engine {
         &mut self,
         requests: &[(u32, usize)],
     ) -> Vec<Result<Vec<Recommendation>, ServeError>> {
-        // Ticks are rare and information-dense, so their traces are always
-        // sampled: the tick's matmul/probe/dispatch spans all attach.
-        let _trace = imcat_obs::trace::request("serve.tick", "serve.tick.seconds", true);
+        // A front-end ticks about once per request, so ticks are sampled at
+        // the request rate; a sampled tick collects its matmul, probe and
+        // dispatch spans.
+        let _trace = imcat_obs::trace::request("serve.tick", "serve.tick.seconds", false);
         let t0 = Instant::now();
         type Answer = Result<Vec<Recommendation>, ServeError>;
         let mut outputs: Vec<Option<Answer>> = Vec::with_capacity(requests.len());

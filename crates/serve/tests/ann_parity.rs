@@ -385,7 +385,7 @@ fn certified_skip_is_taken_and_bit_identical_to_rerank() {
     }
     // Direct probe: skips actually fire, and skip == forced re-rank through
     // the evaluator's selection.
-    let idx = quant.ann_index().unwrap();
+    let idx = quant.ann_backend().and_then(|b| b.as_ivf()).unwrap();
     let mut fast = imcat_serve::ProbeScratch::default();
     let mut slow = imcat_serve::ProbeScratch::default();
     let mut top = imcat_eval::TopKScratch::default();
@@ -636,8 +636,8 @@ fn engine_index_builds_are_reproducible() {
     let artifact = model.export_artifact(&data).unwrap();
     let idx_a = Engine::new(artifact.clone(), ann_cfg(12, 2)).unwrap();
     let idx_b = Engine::new(artifact, ann_cfg(12, 2)).unwrap();
-    let a = idx_a.ann_index().unwrap();
-    let b = idx_b.ann_index().unwrap();
+    let a = idx_a.ann_backend().and_then(|b| b.as_ivf()).unwrap();
+    let b = idx_b.ann_backend().and_then(|b| b.as_ivf()).unwrap();
     assert_eq!(a.seed(), DEFAULT_BUILD_SEED);
     let ser = |i: &imcat_serve::IvfIndex| {
         let mut ck = Checkpoint::new();
